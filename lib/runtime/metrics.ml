@@ -267,6 +267,11 @@ let snapshot (t : t) =
   let stopped = if t.stopped_at > 0. then t.stopped_at else now in
   let wall_s = Float.max 1e-9 (stopped -. t.started_at) in
   let sum_ns = Stripes.Counter.sum t.lat_sum_ns in
+  (* A bucket's geometric midpoint can sit above every latency recorded
+     in it; no percentile of a commit's latency, or of either phase of
+     it, may exceed the latency high-water mark. *)
+  let lat_max_ms = float (Atomic.get t.lat_max_ns) /. 1e6 in
+  let capped hist q = Float.min lat_max_ms (quantile hist committed q) in
   let per_level =
     Array.to_list
       (Array.mapi
@@ -293,19 +298,19 @@ let snapshot (t : t) =
     wait_ns = Stripes.Counter.sum t.wait_ns;
     wall_s;
     throughput = float committed /. wall_s;
-    lat_p50_ms = quantile t.lat_hist committed 0.50;
-    lat_p90_ms = quantile t.lat_hist committed 0.90;
-    lat_p99_ms = quantile t.lat_hist committed 0.99;
-    lat_max_ms = float (Atomic.get t.lat_max_ns) /. 1e6;
+    lat_p50_ms = capped t.lat_hist 0.50;
+    lat_p90_ms = capped t.lat_hist 0.90;
+    lat_p99_ms = capped t.lat_hist 0.99;
+    lat_max_ms;
     lat_mean_ms =
       (if committed = 0 then 0. else float sum_ns /. float committed /. 1e6);
-    exec_p50_ms = quantile t.exec_hist committed 0.50;
-    exec_p99_ms = quantile t.exec_hist committed 0.99;
+    exec_p50_ms = capped t.exec_hist 0.50;
+    exec_p99_ms = capped t.exec_hist 0.99;
     exec_mean_ms =
       (if committed = 0 then 0.
        else float (Stripes.Counter.sum t.exec_sum_ns) /. float committed /. 1e6);
-    lock_wait_p50_ms = quantile t.cwait_hist committed 0.50;
-    lock_wait_p99_ms = quantile t.cwait_hist committed 0.99;
+    lock_wait_p50_ms = capped t.cwait_hist 0.50;
+    lock_wait_p99_ms = capped t.cwait_hist 0.99;
     lock_wait_mean_ms =
       (if committed = 0 then 0.
        else float (Stripes.Counter.sum t.cwait_sum_ns) /. float committed /. 1e6);

@@ -105,6 +105,8 @@ type snapshot = {
   lat_p50_ms : float;
   lat_p90_ms : float;
   lat_p99_ms : float;
+      (** latency and phase percentiles are bucket midpoints, capped at
+          {!field:lat_max_ms} *)
   lat_max_ms : float;
   lat_mean_ms : float;
   exec_p50_ms : float;  (** committed attempts' engine-execution phase *)

@@ -30,10 +30,22 @@
      to All: the unified code path then behaves exactly like the old
      single latch.
 
+   - One step path. [exec_step] is the only place an engine step
+     happens: fault draw, certifier doom poll, deadline check, stripe
+     plan, engine step, waits-for publication and deadlock break, the
+     Step_begin/Step_end events. [exec_finish] is the only terminal
+     accounting. The batch runner ([run], [run_n], [run_for]) is a thin
+     driver over these calls, exactly like the server's sessions; the
+     drivers differ only in what they do with a blocked step — a batch
+     worker sleeps it out in place, a session parks — and both ask
+     [exec_stall_restart] whether the wait is over.
+
    - Workers never sleep while holding a stripe. A step that comes back
-     [Blocked] releases its stripes and backs off with capped
-     exponential jitter before retrying, so one transaction's lock wait
-     costs only its own worker.
+     blocked releases its stripes and backs off with capped exponential
+     jitter before retrying, so one transaction's lock wait costs only
+     its own worker. The starvation safety valve is one rule: an
+     operation is retried blocked [max_op_retries] times, and its next
+     block restarts the transaction.
 
    - The waits-for graph is a {!Graph.Incremental}: a blocked step
      publishes its edges while still holding the step's stripes, and the
@@ -57,9 +69,11 @@
      instance, certifies serializability online: every recorded action
      feeds the {!Certifier} through the engine trace hook, and the
      transaction whose action closes a dependency cycle is doomed on the
-     spot. Workers poll {!Certifier.doomed} before each operation and
-     abort the victim ([Certifier_abort]), so the committed projection
-     stays acyclic — anomalies are certified away, not merely observed.
+     spot. Each step polls {!Certifier.doomed} first, and a commit polls
+     it again under its own (all-)stripe plan, so a cycle closed by
+     another commit while this one waited for its stripes still aborts
+     it ([Certifier_abort]) — the committed projection stays acyclic:
+     anomalies are certified away, not merely observed.
 
    - Job dispatch is a lock-free ticket: Atomic.fetch_and_add over the
      job array (or the generator, for timed runs).
@@ -208,7 +222,11 @@ type result = {
 
 exception Stuck of string
 
-type shared = {
+(* The shared execution context: one engine plus the pool's concurrency
+   machinery. Both drivers — the batch workers below and the server's
+   sessions — step transactions through it with the [exec_*] calls. *)
+type exec = {
+  cfg : config;
   engine : Engine.t;
   stripes : Stripes.t; (* nstripes key stripes + 1 predicate stripe *)
   nstripes : int;      (* key stripes; the predicate stripe is index nstripes *)
@@ -254,10 +272,8 @@ let stripe_plan ~stripes (fp : Engine.footprint) =
     let plan = if pred then ks @ [ stripes ] else ks in
     (match plan with [] -> [ 0 ] | plan -> plan)
 
-let all_plan sh = sh.all
-
 let plan_for sh tid op =
-  if sh.coarse then all_plan sh
+  if sh.coarse then sh.all
   else stripe_plan ~stripes:sh.nstripes (Engine.footprint sh.engine tid op)
 
 let acquire_plan sh ~tid plan =
@@ -304,7 +320,7 @@ let clear_waiting sh tid = Waits.remove_node sh.waits tid
    the retired snapshot detector), abort the youngest member. *)
 let break_deadlock sh tid path =
   Mutex.lock sh.detector;
-  let plan = all_plan sh in
+  let plan = sh.all in
   acquire_plan sh ~tid plan;
   let rec stands = function
     | a :: (b :: _ as rest) -> Waits.mem_edge sh.waits a b && stands rest
@@ -313,12 +329,11 @@ let break_deadlock sh tid path =
   let verdict =
     if not (stands path) then `Wait
     else begin
-      let cycle = path in
-      let victim = List.fold_left max min_int cycle in
+      let victim = List.fold_left max min_int path in
       Engine.abort_txn sh.engine victim;
       clear_waiting sh victim;
       Metrics.record_deadlock sh.metrics;
-      emit sh ~tid:victim (Trace.Event.Deadlock_victim { cycle });
+      emit sh ~tid:victim (Trace.Event.Deadlock_victim { cycle = path });
       if victim = tid then `Self_aborted else `Wait
     end
   in
@@ -326,23 +341,26 @@ let break_deadlock sh tid path =
   Mutex.unlock sh.detector;
   verdict
 
-(* Graceful self-abort from outside the program — an injected fault or a
-   blown deadline. The abort touches everything, so it takes every
-   stripe, like the stall safety valve; the attempt then terminates and
-   the job's retry machinery takes over under a fresh tid. *)
-(* Returns the reason the abort actually landed with: if another actor
-   (a deadlock break on some other worker) terminated the transaction
-   first, that earlier reason stands and owns the accounting. *)
-let abort_self sh ~tid reason =
-  let plan = all_plan sh in
-  acquire_plan sh ~tid plan;
+(* Graceful self-abort from outside the program — an injected fault, a
+   certifier doom, a blown deadline or the stall safety valve. The abort
+   touches everything, so it needs every stripe; the attempt then
+   terminates and the driver's retry machinery takes over under a fresh
+   tid. Returns the reason the abort actually landed with: if another
+   actor (a deadlock break on some other worker) terminated the
+   transaction first, that earlier reason stands and owns the
+   accounting. [abort_held] runs under an all-stripes plan the caller
+   already holds (the stripe mutexes are not reentrant). *)
+let abort_held sh ~tid reason =
   Engine.abort_txn ~reason sh.engine tid;
   clear_waiting sh tid;
-  let actual =
-    match Engine.status sh.engine tid with
-    | Engine.Aborted r -> r
-    | Engine.Committed | Engine.Active -> reason
-  in
+  match Engine.status sh.engine tid with
+  | Engine.Aborted r -> r
+  | Engine.Committed | Engine.Active -> reason
+
+let abort_self sh ~tid reason =
+  let plan = sh.all in
+  acquire_plan sh ~tid plan;
+  let actual = abort_held sh ~tid reason in
   release_plan sh plan;
   actual
 
@@ -385,276 +403,15 @@ let watchdog_loop sh ~stop ~threshold_us =
    throughout and get the full set. *)
 let with_aux_exclusion sh ~tid f =
   if sh.serial_aux then begin
-    let plan = all_plan sh in
+    let plan = sh.all in
     acquire_plan sh ~tid plan;
     Fun.protect ~finally:(fun () -> release_plan sh plan) f
   end
   else f ()
 
-(* One attempt at a job: begin a fresh transaction, drive every
-   operation through the engine (waiting out blocks), and report the
-   terminal status. *)
-let run_attempt sh cfg ~rng ~bo ~widx ~jidx ~attempt job =
-  let tid = Atomic.fetch_and_add sh.next_tid 1 in
-  let ops =
-    if Program.terminated job.program then job.program.Program.ops
-    else job.program.Program.ops @ [ Program.Commit ]
-  in
-  let start_ns = now_ns () in
-  let traced = sh.sink <> None in
-  let waited_ns = ref 0 in
-  (* Fault coordinates: the plan draws per (tid, step-consultation seq),
-     so a retried attempt (fresh tid) draws fresh decisions. *)
-  let nstep = ref 0 in
-  let deadline_at =
-    match cfg.deadline_us with
-    | Some us -> start_ns + int_of_float (us *. 1e3)
-    | None -> max_int
-  in
-  Atomic.set sh.hb_tid.(widx) tid;
-  Atomic.set sh.hb.(widx) start_ns;
-  emit sh ~tid
-    (Trace.Event.Attempt_begin
-       { job = jidx; name = job.name; attempt; level = Level.name job.declared });
-  with_aux_exclusion sh ~tid (fun () ->
-      Engine.begin_txn ~read_only:job.read_only sh.engine tid ~level:job.level);
-  (* Declare the level before the first action can reach the certifier:
-     under the mixed criterion the cycle judgment is victim-relative. *)
-  (match sh.certifier with
-  | Some c -> Certifier.note_level c ~tid ~level:job.declared
-  | None -> ());
-  Backoff.reset bo;
-  let rec exec = function
-    | [] -> ()
-    | op :: rest ->
-      let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
-      let rec attempt_op tries =
-        Atomic.set sh.hb.(widx) (now_ns ());
-        let fault =
-          match cfg.fault with
-          | None -> None
-          | Some plan ->
-            let seq = !nstep in
-            incr nstep;
-            Fault.Plan.point plan ~tid (Fault.Plan.Step { seq })
-        in
-        (match fault with
-        | Some (Fault.Plan.Stall { us }) ->
-          (* Stall holding no stripes: the worker just goes dark, which
-             is what the deadline and the watchdog exist to notice — the
-             heartbeat is deliberately left stale for the duration. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "stall" });
-          Unix.sleepf (us /. 1e6)
-        | _ -> ());
-        match fault with
-        | Some Fault.Plan.Step_fail ->
-          (* Spurious failure: abort here; the job retries. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "step_fail" });
-          ignore (abort_self sh ~tid Engine.Fault_injected : Engine.abort_reason)
-        | Some Fault.Plan.Victim ->
-          (* Forced deadlock victim: same path a detector break takes. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "victim" });
-          ignore (abort_self sh ~tid Engine.Deadlock_victim : Engine.abort_reason)
-        | _
-          when (match sh.certifier with
-               | Some c -> Certifier.doomed c tid
-               | None -> false) ->
-          (* The certifier doomed us for closing a dependency cycle:
-             abort before the next operation (in particular before a
-             commit), keeping the committed projection acyclic. *)
-          Metrics.record_certifier_abort ~level:job.declared sh.metrics;
-          ignore (abort_self sh ~tid Engine.Certifier_abort : Engine.abort_reason)
-        | _ when now_ns () > deadline_at -> (
-          (* Past the budget (blocked waits and injected stalls count):
-             graceful abort; the retry starts a fresh deadline window.
-             Count it only if the abort landed as ours — a concurrent
-             deadlock break may have terminated the transaction first,
-             and then its reason owns the accounting. *)
-          match abort_self sh ~tid Engine.Deadline_exceeded with
-          | Engine.Deadline_exceeded ->
-            Metrics.record_deadline_exceeded sh.metrics;
-            emit sh ~tid
-              (Trace.Event.Deadline_exceeded
-                 {
-                   elapsed_ns = now_ns () - start_ns;
-                   budget_ns = deadline_at - start_ns;
-                 })
-          | _ -> ())
-        | _ ->
-        emit sh ~tid (Trace.Event.Step_begin { op = op_str });
-        let plan = plan_for sh tid op in
-        acquire_plan sh ~tid plan;
-        let hpos0 = Engine.trace_len sh.engine in
-        let stepped =
-          match Engine.step sh.engine tid op with
-          | Engine.Progress ->
-            clear_waiting sh tid;
-            `Progress
-          | Engine.Finished ->
-            (* terminated from outside: deadlock victim *)
-            clear_waiting sh tid;
-            `Finished
-          | Engine.Blocked holders ->
-            Metrics.record_block sh.metrics;
-            (* Publish the edges while still holding the step's stripes,
-               so they reflect a completed step; the insertion itself
-               reports the cycle-closing edge, if any. *)
-            `Blocked (holders, set_waiting sh tid holders)
-        in
-        let hpos1 = Engine.trace_len sh.engine in
-        release_plan sh plan;
-        let outcome =
-          match stepped with
-          | (`Progress | `Finished) as o -> o
-          | `Blocked (holders, None) -> `Wait holders
-          | `Blocked (holders, Some path) -> (
-            match break_deadlock sh tid path with
-            | `Wait -> `Wait holders
-            | `Self_aborted -> `Self_aborted holders)
-        in
-        emit sh ~tid
-          (Trace.Event.Step_end
-             {
-               op = op_str;
-               outcome =
-                 (match outcome with
-                 | `Progress -> Trace.Event.Progress
-                 | `Finished -> Trace.Event.Finished
-                 | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
-               hpos0;
-               hpos1;
-             });
-        match outcome with
-        | `Progress ->
-          Backoff.reset bo;
-          (* Think time between statements, slept holding no stripes:
-             the gap during which other workers interleave — without it
-             the stripe hand-off all but serializes short transactions
-             on hot keys. *)
-          if cfg.think_us > 0. && rest <> [] then
-            Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6);
-          exec rest
-        | `Finished | `Self_aborted _ -> ()
-        | `Wait _ ->
-          if tries >= cfg.max_op_retries then begin
-            (* Starvation safety valve: restart rather than wait forever.
-               The abort touches everything, so it takes every stripe. *)
-            let plan = all_plan sh in
-            acquire_plan sh ~tid plan;
-            Engine.abort_txn sh.engine tid;
-            clear_waiting sh tid;
-            release_plan sh plan;
-            Metrics.record_stall sh.metrics;
-            emit sh ~tid Trace.Event.Stall_restart
-          end
-          else begin
-            let t0 = now_ns () in
-            Backoff.wait bo;
-            let slept = now_ns () - t0 in
-            waited_ns := !waited_ns + slept;
-            Metrics.record_wait_ns sh.metrics slept;
-            emit sh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
-            attempt_op (tries + 1)
-          end
-      in
-      attempt_op 0
-  in
-  exec ops;
-  (* The entry is already cleared by the last step; this sweep only
-     covers defensive corner cases (e.g. a program ending mid-wait). *)
-  clear_waiting sh tid;
-  let status =
-    with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
-  in
-  (* Group-commit durability point: the commit record was appended under
-     the commit's stripes; the fsync that makes it durable happens here,
-     holding no stripes, batched with every other worker waiting at the
-     same point ({!Core.Engine.wal_sync}). *)
-  if status = Engine.Committed then Engine.wal_sync sh.engine;
-  let finish_ns = now_ns () in
-  let outcome =
-    match status with
-    | Engine.Committed ->
-      Metrics.record_commit ~wait_ns:!waited_ns ~level:job.declared sh.metrics
-        ~latency_ns:(finish_ns - start_ns);
-      emit sh ~tid Trace.Event.Commit;
-      Recorder.Committed
-    | Engine.Aborted reason ->
-      Metrics.record_abort ~level:job.declared sh.metrics reason;
-      emit sh ~tid
-        (Trace.Event.Abort { reason = Metrics.abort_reason_slug reason });
-      Recorder.Aborted reason
-    | Engine.Active ->
-      raise (Stuck (Fmt.str "T%d still active after its program ended" tid))
-  in
-  Recorder.record sh.recorder ~job:jidx ~name:job.name ~level:job.declared ~tid
-    ~attempt ~worker:widx ~start_ns ~finish_ns outcome;
-  (* Everything the runtime will ever ask the engine about this tid has
-     been asked (the status read above; env reads happen mid-program);
-     release its slot so long runs don't retain every finished txn. The
-     MV/timestamp transaction tables only tolerate mutation under every
-     stripe, hence the aux exclusion (a no-op for the locking engine,
-     which serialises the call itself). *)
-  with_aux_exclusion sh ~tid (fun () -> Engine.forget sh.engine tid);
-  (outcome, tid, finish_ns - start_ns)
-
-(* Retry policy: user aborts are the program's own decision and final;
-   every system-initiated abort is retried until the budget runs out.
-   The restart backoff resets per job and keeps escalating across the
-   job's attempts — unlike the per-operation backoff, which resets on
-   every successful step. *)
-let run_job sh cfg ~rng ~bo ~rbo ~widx jidx job =
-  Backoff.reset rbo;
-  let rec go attempt =
-    let outcome, tid, wall_ns =
-      run_attempt sh cfg ~rng ~bo ~widx ~jidx ~attempt job
-    in
-    match outcome with
-    | Recorder.Committed | Recorder.Aborted Engine.User_abort -> ()
-    | Recorder.Aborted _ ->
-      (* The failed attempt's whole wall time is retry overhead, and so is
-         the restart backoff that follows it. *)
-      Metrics.record_retry_overhead_ns sh.metrics wall_ns;
-      if attempt >= cfg.max_attempts then Metrics.record_giveup sh.metrics
-      else begin
-        Metrics.record_retry sh.metrics;
-        let t0 = now_ns () in
-        Backoff.wait rbo;
-        let slept = now_ns () - t0 in
-        Metrics.record_retry_overhead_ns sh.metrics slept;
-        emit sh ~tid
-          (Trace.Event.Retry_backoff
-             { slept_ns = slept; next_attempt = attempt + 1 });
-        go (attempt + 1)
-      end
-  in
-  go 1
-
-let worker sh cfg ~next_job widx =
-  Option.iter (fun s -> Trace.Sink.attach s ~worker:widx) sh.sink;
-  let rng = Random.State.make [| cfg.seed; 0x90c0; widx |] in
-  let bo = Backoff.create ~rng cfg.backoff in
-  let rbo = Backoff.create ~rng cfg.retry_backoff in
-  let rec loop () =
-    match next_job () with
-    | None ->
-      (* Done: park the heartbeat so an idle worker is never mistaken
-         for a stuck one while the others drain. *)
-      Atomic.set sh.hb.(widx) max_int
-    | Some (jidx, job) ->
-      run_job sh cfg ~rng ~bo ~rbo ~widx jidx job;
-      loop ()
-  in
-  loop ()
-
-(* Build the shared execution state: engine, stripes, waits-for graph,
-   certifier/tear/lock hooks — everything both entry points (the batch
-   runner [run_with] and the server's parked-session [exec] interface)
-   need, up to and including [Metrics.start]. *)
-let make_shared (cfg : config) ~family =
+(* Build the shared execution context: engine, stripes, waits-for graph,
+   certifier/tear/lock hooks, up to and including [Metrics.start]. *)
+let exec_create (cfg : config) ~family =
   (* Only the locking engine is striped; the multiversion and timestamp
      engines stay single-threaded and run every step (and begin/status)
      under the full stripe set — behaviorally the old coarse latch.
@@ -701,6 +458,7 @@ let make_shared (cfg : config) ~family =
   in
   let sh =
     {
+      cfg;
       engine;
       stripes = Stripes.create (nstripes + 1);
       nstripes;
@@ -778,11 +536,11 @@ let make_shared (cfg : config) ~family =
   Metrics.start sh.metrics;
   sh
 
-(* Stop the clock and gather everything a finished run reports — the
-   tail shared by [run_with] and the server's [exec_finalize]. The trace
-   sink's per-worker rings and the recorder shards are drained here, so
-   a drained shutdown keeps its tail events. *)
-let collect_result (cfg : config) sh =
+(* Stop the clock and gather everything a finished run reports. The
+   trace sink's per-worker rings and the recorder shards are drained
+   here, so a drained shutdown keeps its tail events. *)
+let exec_finalize sh =
+  let cfg = sh.cfg in
   Metrics.stop sh.metrics;
   let history = Engine.trace sh.engine in
   let events, events_dropped =
@@ -836,7 +594,7 @@ let collect_result (cfg : config) sh =
    accessors. No worker is stopped or slowed beyond the cache traffic
    of the reads themselves. *)
 
-let live_of_shared sh : live =
+let exec_live sh : live =
   {
     at = Unix.gettimeofday ();
     metrics = Metrics.snapshot sh.metrics;
@@ -851,108 +609,15 @@ let live_of_shared sh : live =
     history_len = Engine.trace_len sh.engine;
   }
 
-let run_with ?monitor (cfg : config) ~family ~next_job =
-  let sh = make_shared cfg ~family in
-  let stop_watchdog = Atomic.make false in
-  let watchdog =
-    match cfg.watchdog_us with
-    | None -> None
-    | Some threshold_us ->
-      Some
-        (Domain.spawn (fun () ->
-             watchdog_loop sh ~stop:stop_watchdog ~threshold_us))
-  in
-  let spawned =
-    List.init (cfg.workers - 1) (fun i ->
-        Domain.spawn (fun () -> worker sh cfg ~next_job (i + 1)))
-  in
-  (* Hand the caller a live sampler before this domain becomes worker 0;
-     the callback must return promptly (spawn a thread to poll). *)
-  (match monitor with
-  | None -> ()
-  | Some f -> f (fun () -> live_of_shared sh));
-  (* The calling domain is worker 0; join the rest even if it trips. *)
-  let mine = try Ok (worker sh cfg ~next_job 0) with e -> Error e in
-  List.iter Domain.join spawned;
-  Atomic.set stop_watchdog true;
-  Option.iter Domain.join watchdog;
-  (match mine with Ok () -> () | Error e -> raise e);
-  collect_result cfg sh
+(* {2 One step at a time — the entry points both drivers use}
 
-(* Family inference prefers the declared mix ([cfg.levels]) over the
-   jobs in hand: a generator-mode run materializes one job at a time, so
-   judging the family from [(gen 0).level] alone would accept a
-   cross-family mix whose first draw looks innocent and then crash (or
-   silently mis-run) mid-stream. With the full mix declared up front the
-   rejection is immediate and names the offending levels. *)
-let family_for cfg levels =
-  match cfg.family with
-  | Some f -> f
-  | None ->
-    Engine.family_of_levels (if cfg.levels <> [] then cfg.levels else levels)
-
-(* The drain flag: once set, [next_job] answers None — workers finish
-   the job in hand (its retries included) and exit, and the collectors
-   then drain every recorder shard and trace ring as usual, so a SIGINT
-   shutdown loses no tail events. *)
-let draining cfg =
-  match cfg.stop with Some s -> Atomic.get s | None -> false
-
-let run ?monitor cfg jobs =
-  let family =
-    family_for cfg (List.map (fun j -> j.level) (Array.to_list jobs))
-  in
-  let next = Atomic.make 0 in
-  let next_job () =
-    if draining cfg then None
-    else
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length jobs then Some (i, jobs.(i)) else None
-  in
-  run_with cfg ?monitor ~family ~next_job
-
-(* Counted generator runs: like [run], but jobs are generated on demand
-   instead of materialized as an array — a million-transaction run holds
-   only the jobs in flight. *)
-let run_n ?monitor cfg ~txns ~gen =
-  let family = family_for cfg [ (gen 0).level ] in
-  let next = Atomic.make 0 in
-  let next_job () =
-    if draining cfg then None
-    else
-      let i = Atomic.fetch_and_add next 1 in
-      if i < txns then Some (i, gen i) else None
-  in
-  run_with cfg ?monitor ~family ~next_job
-
-let run_for ?monitor cfg ~duration_s ~gen =
-  let family = family_for cfg [ (gen 0).level ] in
-  let deadline = Unix.gettimeofday () +. duration_s in
-  let next = Atomic.make 0 in
-  let next_job () =
-    if draining cfg || Unix.gettimeofday () >= deadline then None
-    else
-      let i = Atomic.fetch_and_add next 1 in
-      Some (i, gen i)
-  in
-  run_with cfg ?monitor ~family ~next_job
-
-(* {2 Parked, resumable transactions — the server's entry points}
-
-   The batch runner above owns its workers: a blocked operation sleeps
-   its worker in [Backoff.wait] and retries in place. A network server
-   multiplexing thousands of sessions over a fixed pool cannot afford
-   that — a session that blocks must *park*, freeing the worker for
-   runnable sessions, and retry when its backoff expires. [exec] exposes
-   exactly one engine step at a time for that caller: same stripe plans,
-   same waits-for publication and deadlock break, same fault / certifier
-   / deadline consultations as [run_attempt], but the "wait" outcome is
-   returned to the caller instead of being slept through. The session
-   layer owns the per-transaction bookkeeping the batch runner keeps on
-   its stack (attempt counts, per-session backoff state, accumulated
-   wait time) and feeds it back in for the terminal accounting. *)
-
-type exec = { ecfg : config; esh : shared }
+   Each call below is one piece of a transaction's life: begin, one
+   engine step, the stall-valve verdict on a blocked step, terminal
+   accounting. The caller owns what happens between calls — the batch
+   worker below sleeps a blocked operation out in place, a server
+   session parks it and frees its worker — and the per-transaction
+   bookkeeping that goes with it: attempt numbers, backoff state,
+   accumulated wait time, the step sequence addressing fault draws. *)
 
 type session_step =
   | Session_progress
@@ -960,16 +625,16 @@ type session_step =
   | Session_finished
   | Session_aborted of Engine.abort_reason
 
-let exec_create (cfg : config) ~family = { ecfg = cfg; esh = make_shared cfg ~family }
+let exec_attach_worker sh ~worker =
+  Option.iter (fun s -> Trace.Sink.attach s ~worker) sh.sink
 
-let exec_attach_worker t ~worker =
-  Option.iter (fun s -> Trace.Sink.attach s ~worker) t.esh.sink
+let exec_fresh_tid sh = Atomic.fetch_and_add sh.next_tid 1
+let exec_env sh ~tid = Engine.env sh.engine tid
 
-let exec_fresh_tid t = Atomic.fetch_and_add t.esh.next_tid 1
-let exec_env t ~tid = Engine.env t.esh.engine tid
+let exec_status sh ~tid =
+  with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
 
-let exec_status t ~tid =
-  with_aux_exclusion t.esh ~tid (fun () -> Engine.status t.esh.engine tid)
+let exec_family sh = Engine.family sh.engine
 
 let heartbeat sh ~worker ~tid =
   if worker >= 0 && worker < Array.length sh.hb then begin
@@ -977,8 +642,7 @@ let heartbeat sh ~worker ~tid =
     Atomic.set sh.hb.(worker) (now_ns ())
   end
 
-let exec_begin ?declared t ~worker ~tid ~job ~name ~attempt ~level ~read_only =
-  let sh = t.esh in
+let exec_begin ?declared sh ~worker ~tid ~job ~name ~attempt ~level ~read_only =
   let declared = Option.value declared ~default:level in
   heartbeat sh ~worker ~tid;
   emit sh ~tid
@@ -986,13 +650,20 @@ let exec_begin ?declared t ~worker ~tid ~job ~name ~attempt ~level ~read_only =
        { job; name; attempt; level = Level.name declared });
   with_aux_exclusion sh ~tid (fun () ->
       Engine.begin_txn ~read_only sh.engine tid ~level);
+  (* Declare the level before the first action can reach the certifier:
+     under the mixed criterion the cycle judgment is victim-relative. *)
   match sh.certifier with
   | Some c -> Certifier.note_level c ~tid ~level:declared
   | None -> ()
 
-let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
-  let sh = t.esh and cfg = t.ecfg in
+let doomed sh tid =
+  match sh.certifier with Some c -> Certifier.doomed c tid | None -> false
+
+let exec_step ~level sh ~worker ~tid ~seq ~start_ns op =
+  let cfg = sh.cfg in
   heartbeat sh ~worker ~tid;
+  (* Fault coordinates: the plan draws per (tid, step-consultation seq),
+     so a retried attempt (fresh tid) draws fresh decisions. *)
   let fault =
     match cfg.fault with
     | None -> None
@@ -1000,8 +671,9 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
   in
   (match fault with
   | Some (Fault.Plan.Stall { us }) ->
-    (* Stalls sleep the serving worker in place: a dark worker is what
-       the deadline and watchdog exist to notice, sessions included. *)
+    (* Stall holding no stripes: the worker just goes dark, which is
+       what the deadline and the watchdog exist to notice — the
+       heartbeat is deliberately left stale for the duration. *)
     Metrics.record_fault sh.metrics;
     emit sh ~tid (Trace.Event.Fault_inject { klass = "stall" });
     Unix.sleepf (us /. 1e6)
@@ -1013,22 +685,27 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
   in
   match fault with
   | Some Fault.Plan.Step_fail ->
+    (* Spurious failure: abort here; the driver retries. *)
     Metrics.record_fault sh.metrics;
     emit sh ~tid (Trace.Event.Fault_inject { klass = "step_fail" });
     Session_aborted (abort_self sh ~tid Engine.Fault_injected)
   | Some Fault.Plan.Victim ->
+    (* Forced deadlock victim: same path a detector break takes. *)
     Metrics.record_fault sh.metrics;
     emit sh ~tid (Trace.Event.Fault_inject { klass = "victim" });
     Session_aborted (abort_self sh ~tid Engine.Deadlock_victim)
-  | _
-    when (match sh.certifier with
-         | Some c -> Certifier.doomed c tid
-         | None -> false) ->
-    Metrics.record_certifier_abort ?level sh.metrics;
+  | _ when doomed sh tid ->
+    (* The certifier doomed us for closing a dependency cycle: abort
+       before the next operation (in particular before a commit),
+       keeping the committed projection acyclic. *)
+    Metrics.record_certifier_abort ~level sh.metrics;
     Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
   | _ when now_ns () > deadline_at ->
-    (* As in the batch path: a concurrent deadlock break may land its
-       abort first, and then its reason owns the accounting. *)
+    (* Past the budget (blocked waits and injected stalls count):
+       graceful abort; the retry starts a fresh deadline window. Count
+       it only if the abort landed as ours — a concurrent deadlock break
+       may have terminated the transaction first, and then its reason
+       owns the accounting. *)
     let actual = abort_self sh ~tid Engine.Deadline_exceeded in
     if actual = Engine.Deadline_exceeded then begin
       Metrics.record_deadline_exceeded sh.metrics;
@@ -1041,29 +718,39 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     end;
     Session_aborted actual
   | _ ->
-    let traced = sh.sink <> None in
-    let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
+    let op_str = if sh.sink <> None then Fmt.str "%a" Program.pp_op op else "" in
     emit sh ~tid (Trace.Event.Step_begin { op = op_str });
     let plan = plan_for sh tid op in
     acquire_plan sh ~tid plan;
     let hpos0 = Engine.trace_len sh.engine in
     let stepped =
-      match Engine.step sh.engine tid op with
-      | Engine.Progress ->
-        clear_waiting sh tid;
-        `Progress
-      | Engine.Finished ->
-        clear_waiting sh tid;
-        `Finished
-      | Engine.Blocked holders ->
-        Metrics.record_block sh.metrics;
-        `Blocked (holders, set_waiting sh tid holders)
+      match op with
+      | Program.Commit when doomed sh tid ->
+        (* Poll again under the commit's plan (every stripe): another
+           commit may have closed a cycle through us while we waited for
+           the stripes, after the poll above. *)
+        `Doomed (abort_held sh ~tid Engine.Certifier_abort)
+      | _ -> (
+        match Engine.step sh.engine tid op with
+        | Engine.Progress ->
+          clear_waiting sh tid;
+          `Progress
+        | Engine.Finished ->
+          (* terminated from outside: deadlock victim *)
+          clear_waiting sh tid;
+          `Finished
+        | Engine.Blocked holders ->
+          Metrics.record_block sh.metrics;
+          (* Publish the edges while still holding the step's stripes,
+             so they reflect a completed step; the insertion itself
+             reports the cycle-closing edge, if any. *)
+          `Blocked (holders, set_waiting sh tid holders))
     in
     let hpos1 = Engine.trace_len sh.engine in
     release_plan sh plan;
     let outcome =
       match stepped with
-      | (`Progress | `Finished) as o -> o
+      | (`Progress | `Finished | `Doomed _) as o -> o
       | `Blocked (holders, None) -> `Wait holders
       | `Blocked (holders, Some path) -> (
         match break_deadlock sh tid path with
@@ -1077,7 +764,7 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
            outcome =
              (match outcome with
              | `Progress -> Trace.Event.Progress
-             | `Finished -> Trace.Event.Finished
+             | `Finished | `Doomed _ -> Trace.Event.Finished
              | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
            hpos0;
            hpos1;
@@ -1085,36 +772,38 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     (match outcome with
     | `Progress -> Session_progress
     | `Finished -> Session_finished
+    | `Doomed reason ->
+      Metrics.record_certifier_abort ~level sh.metrics;
+      Session_aborted reason
     | `Self_aborted _ -> Session_aborted Engine.Deadlock_victim
     | `Wait holders -> Session_blocked { holders })
 
-let exec_abort ?(reason = Engine.User_abort) t ~tid =
-  ignore (abort_self t.esh ~tid reason : Engine.abort_reason)
+let exec_abort ?(reason = Engine.User_abort) sh ~tid =
+  ignore (abort_self sh ~tid reason : Engine.abort_reason)
 
-(* The starvation safety valve, mirrored from [run_attempt]: a session
-   that exhausted its blocked retries of one operation aborts itself and
-   lets the client restart the transaction. *)
-let exec_stall_restart t ~tid =
-  let sh = t.esh in
-  let plan = all_plan sh in
-  acquire_plan sh ~tid plan;
-  Engine.abort_txn sh.engine tid;
-  clear_waiting sh tid;
-  release_plan sh plan;
-  Metrics.record_stall sh.metrics;
-  emit sh ~tid Trace.Event.Stall_restart
+(* The starvation safety valve, one rule for every driver: an operation
+   is retried blocked [max_op_retries] times; the block after the last
+   of those waits restarts the transaction rather than waiting forever. *)
+let exec_stall_restart sh ~tid ~waits =
+  waits >= sh.cfg.max_op_retries
+  && begin
+    ignore (abort_self sh ~tid Engine.Deadlock_victim : Engine.abort_reason);
+    Metrics.record_stall sh.metrics;
+    emit sh ~tid Trace.Event.Stall_restart;
+    true
+  end
 
-let exec_family t = Engine.family t.esh.engine
-let exec_live t = live_of_shared t.esh
-
-let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
-  let sh = t.esh in
+let exec_finish sh ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
+  (* The entry is already cleared by the last step; this sweep only
+     covers defensive corner cases (e.g. a program ending mid-wait). *)
   clear_waiting sh tid;
   let status =
     with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
   in
-  (* As in [run_attempt]: the committed session waits out its group-commit
-     fsync here, holding no stripes. *)
+  (* Group-commit durability point: the commit record was appended under
+     the commit's stripes; the fsync that makes it durable happens here,
+     holding no stripes, batched with every other transaction waiting at
+     the same point ({!Core.Engine.wal_sync}). *)
   if status = Engine.Committed then Engine.wal_sync sh.engine;
   let finish_ns = now_ns () in
   let outcome =
@@ -1130,24 +819,205 @@ let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
         (Trace.Event.Abort { reason = Metrics.abort_reason_slug reason });
       Recorder.Aborted reason
     | Engine.Active ->
-      raise (Stuck (Fmt.str "T%d still active after its session ended" tid))
+      raise (Stuck (Fmt.str "T%d still active after its last operation" tid))
   in
   Recorder.record sh.recorder ~job ~name ~level ~tid ~attempt ~worker
     ~start_ns ~finish_ns outcome;
-  (* As in [run_attempt]: the session front-end reads env mid-transaction
-     and finishes last, so nothing will query this tid again. *)
+  (* Everything the runtime will ever ask the engine about this tid has
+     been asked (the status read above; env reads happen mid-program);
+     release its slot so long runs don't retain every finished txn. The
+     MV/timestamp transaction tables only tolerate mutation under every
+     stripe, hence the aux exclusion (a no-op for the locking engine,
+     which serialises the call itself). *)
   with_aux_exclusion sh ~tid (fun () -> Engine.forget sh.engine tid);
   outcome
 
-let exec_note_wait t ~slept_ns =
-  Metrics.record_wait_ns t.esh.metrics slept_ns
+let exec_note_wait sh ~slept_ns = Metrics.record_wait_ns sh.metrics slept_ns
 
-let exec_note_retry t ~wall_ns =
-  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
-  Metrics.record_retry t.esh.metrics
+let exec_note_retry sh ~wall_ns =
+  Metrics.record_retry_overhead_ns sh.metrics wall_ns;
+  Metrics.record_retry sh.metrics
 
-let exec_note_giveup t ~wall_ns =
-  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
-  Metrics.record_giveup t.esh.metrics
+let exec_note_giveup sh ~wall_ns =
+  Metrics.record_retry_overhead_ns sh.metrics wall_ns;
+  Metrics.record_giveup sh.metrics
 
-let exec_finalize t = collect_result t.ecfg t.esh
+(* {2 The batch driver}
+
+   A worker owns its transaction from begin to finish: it feeds the
+   program's operations to [exec_step] one by one and sleeps a blocked
+   one out in place ([Backoff.wait]) where a session would park. *)
+
+(* One attempt at a job: begin a fresh transaction, drive every
+   operation through the step path (waiting out blocks), and report the
+   terminal status with the attempt's wall time. *)
+let run_attempt sh ~rng ~bo ~widx ~jidx ~attempt job =
+  let tid = exec_fresh_tid sh in
+  let ops =
+    if Program.terminated job.program then job.program.Program.ops
+    else job.program.Program.ops @ [ Program.Commit ]
+  in
+  let start_ns = now_ns () in
+  let waited_ns = ref 0 in
+  let seq = ref 0 in
+  exec_begin ~declared:job.declared sh ~worker:widx ~tid ~job:jidx
+    ~name:job.name ~attempt ~level:job.level ~read_only:job.read_only;
+  Backoff.reset bo;
+  let rec exec ~waits = function
+    | [] -> ()
+    | op :: rest as ops -> (
+      let s = !seq in
+      incr seq;
+      match
+        exec_step sh ~level:job.declared ~worker:widx ~tid ~seq:s ~start_ns op
+      with
+      | Session_progress ->
+        Backoff.reset bo;
+        (* Think time between statements, slept holding no stripes: the
+           gap during which other workers interleave — without it the
+           stripe hand-off all but serializes short transactions on hot
+           keys. *)
+        if sh.cfg.think_us > 0. && rest <> [] then
+          Unix.sleepf (Random.State.float rng (2. *. sh.cfg.think_us) /. 1e6);
+        exec ~waits:0 rest
+      | Session_finished | Session_aborted _ -> ()
+      | Session_blocked _ ->
+        if not (exec_stall_restart sh ~tid ~waits) then begin
+          let t0 = now_ns () in
+          Backoff.wait bo;
+          let slept = now_ns () - t0 in
+          waited_ns := !waited_ns + slept;
+          exec_note_wait sh ~slept_ns:slept;
+          emit sh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
+          exec ~waits:(waits + 1) ops
+        end)
+  in
+  exec ~waits:0 ops;
+  let outcome =
+    exec_finish sh ~worker:widx ~tid ~job:jidx ~name:job.name
+      ~level:job.declared ~attempt ~start_ns ~wait_ns:!waited_ns
+  in
+  (outcome, tid, now_ns () - start_ns)
+
+(* Retry policy: user aborts are the program's own decision and final;
+   every system-initiated abort is retried until the budget runs out.
+   The restart backoff resets per job and keeps escalating across the
+   job's attempts — unlike the per-operation backoff, which resets on
+   every successful step. A failed attempt's whole wall time is retry
+   overhead, and so is the restart backoff that follows it. *)
+let run_job sh ~rng ~bo ~rbo ~widx jidx job =
+  Backoff.reset rbo;
+  let rec go attempt =
+    let outcome, tid, wall_ns =
+      run_attempt sh ~rng ~bo ~widx ~jidx ~attempt job
+    in
+    match outcome with
+    | Recorder.Committed | Recorder.Aborted Engine.User_abort -> ()
+    | Recorder.Aborted _ when attempt >= sh.cfg.max_attempts ->
+      exec_note_giveup sh ~wall_ns
+    | Recorder.Aborted _ ->
+      exec_note_retry sh ~wall_ns;
+      let t0 = now_ns () in
+      Backoff.wait rbo;
+      let slept = now_ns () - t0 in
+      Metrics.record_retry_overhead_ns sh.metrics slept;
+      emit sh ~tid
+        (Trace.Event.Retry_backoff
+           { slept_ns = slept; next_attempt = attempt + 1 });
+      go (attempt + 1)
+  in
+  go 1
+
+let worker sh ~next_job widx =
+  exec_attach_worker sh ~worker:widx;
+  let rng = Random.State.make [| sh.cfg.seed; 0x90c0; widx |] in
+  let bo = Backoff.create ~rng sh.cfg.backoff in
+  let rbo = Backoff.create ~rng sh.cfg.retry_backoff in
+  let rec loop () =
+    match next_job () with
+    | None ->
+      (* Done: park the heartbeat so an idle worker is never mistaken
+         for a stuck one while the others drain. *)
+      Atomic.set sh.hb.(widx) max_int
+    | Some (jidx, job) ->
+      run_job sh ~rng ~bo ~rbo ~widx jidx job;
+      loop ()
+  in
+  loop ()
+
+let run_with ?monitor (cfg : config) ~family ~next_job =
+  let sh = exec_create cfg ~family in
+  let stop_watchdog = Atomic.make false in
+  let watchdog =
+    match cfg.watchdog_us with
+    | None -> None
+    | Some threshold_us ->
+      Some
+        (Domain.spawn (fun () ->
+             watchdog_loop sh ~stop:stop_watchdog ~threshold_us))
+  in
+  let spawned =
+    List.init (cfg.workers - 1) (fun i ->
+        Domain.spawn (fun () -> worker sh ~next_job (i + 1)))
+  in
+  (* Hand the caller a live sampler before this domain becomes worker 0;
+     the callback must return promptly (spawn a thread to poll). *)
+  (match monitor with
+  | None -> ()
+  | Some f -> f (fun () -> exec_live sh));
+  (* The calling domain is worker 0; join the rest even if it trips. *)
+  let mine = try Ok (worker sh ~next_job 0) with e -> Error e in
+  List.iter Domain.join spawned;
+  Atomic.set stop_watchdog true;
+  Option.iter Domain.join watchdog;
+  (match mine with Ok () -> () | Error e -> raise e);
+  exec_finalize sh
+
+(* Family inference prefers the declared mix ([cfg.levels]) over the
+   jobs in hand: a generator-mode run materializes one job at a time, so
+   judging the family from [(gen 0).level] alone would accept a
+   cross-family mix whose first draw looks innocent and then crash (or
+   silently mis-run) mid-stream. With the full mix declared up front the
+   rejection is immediate and names the offending levels. *)
+let family_for cfg levels =
+  match cfg.family with
+  | Some f -> f
+  | None ->
+    Engine.family_of_levels (if cfg.levels <> [] then cfg.levels else levels)
+
+(* Job dispatch is a lock-free ticket over [gen]; [more i] says whether
+   ticket [i] is still a job. The drain flag turns every answer into
+   None: workers finish the job in hand (its retries included) and exit,
+   and the collectors then drain every recorder shard and trace ring as
+   usual, so a SIGINT shutdown loses no tail events. *)
+let run_tickets ?monitor cfg ~family ~more ~gen =
+  let next = Atomic.make 0 in
+  let next_job () =
+    if match cfg.stop with Some s -> Atomic.get s | None -> false then None
+    else
+      let i = Atomic.fetch_and_add next 1 in
+      if more i then Some (i, gen i) else None
+  in
+  run_with cfg ?monitor ~family ~next_job
+
+let run ?monitor cfg jobs =
+  let family =
+    family_for cfg (List.map (fun j -> j.level) (Array.to_list jobs))
+  in
+  run_tickets ?monitor cfg ~family
+    ~more:(fun i -> i < Array.length jobs)
+    ~gen:(Array.get jobs)
+
+(* Counted generator runs: like [run], but jobs are generated on demand
+   instead of materialized as an array — a million-transaction run holds
+   only the jobs in flight. *)
+let run_n ?monitor cfg ~txns ~gen =
+  let family = family_for cfg [ (gen 0).level ] in
+  run_tickets ?monitor cfg ~family ~more:(fun i -> i < txns) ~gen
+
+let run_for ?monitor cfg ~duration_s ~gen =
+  let family = family_for cfg [ (gen 0).level ] in
+  let deadline = Unix.gettimeofday () +. duration_s in
+  run_tickets ?monitor cfg ~family
+    ~more:(fun _ -> Unix.gettimeofday () < deadline)
+    ~gen

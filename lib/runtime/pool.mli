@@ -17,6 +17,11 @@
     code path; the single-threaded multiversion and timestamp engines
     always run that way.
 
+    Every engine step, batch or session, goes through one step path
+    ({!exec_step}) and every terminal outcome through one accounting
+    call ({!exec_finish}); the batch workers are a thin driver over the
+    same {!section-parked} interface a server session uses.
+
     Blocked transactions sleep *outside* their stripes with capped
     exponential backoff, so lock waits in the engine never idle the
     other workers. The waits-for graph is a {!Graph.Incremental}: a
@@ -85,9 +90,10 @@ type config = {
           striped path. *)
   max_attempts : int;  (** attempt budget per job, >= 1 *)
   max_op_retries : int;
-      (** blocked retries of one operation before the worker aborts its
-          own transaction and restarts the job (starvation safety
-          valve) *)
+      (** blocked retries of one operation before the transaction aborts
+          itself and restarts (starvation safety valve): the operation
+          waits out [max_op_retries] blocks, and the next block restarts
+          it ({!exec_stall_restart}). *)
   think_us : float;
       (** mean think time slept (holding no stripes) between a
           transaction's operations. 0 measures raw engine throughput, but
@@ -338,25 +344,25 @@ val run_for :
     seed a fresh [Random.State] from the index). With [config.family =
     None] the family is inferred from [gen 0]. [monitor] as in {!run}. *)
 
-(** {2 Parked, resumable transactions}
+(** {2:parked Parked, resumable transactions}
 
-    The batch entry points above sleep a blocked worker in place. A
-    server multiplexing sessions ≫ workers instead *parks* a blocked
-    session and serves runnable ones; this interface exposes the same
-    execution machinery — stripe plans, incremental waits-for graph and
-    deadlock break, fault / certifier / deadline consultation, metrics,
-    journal, trace — one engine step at a time, with the wait returned
-    to the caller rather than slept through. The caller (the session
-    scheduler in [lib/server]) owns per-transaction bookkeeping: attempt
-    numbers, backoff state ({!Backoff.next_us} gives the park delay),
-    accumulated wait time, and the step sequence number that addresses
-    fault-plan draws. *)
+    The execution machinery one engine step at a time — stripe plans,
+    incremental waits-for graph and deadlock break, fault / certifier /
+    deadline consultation, metrics, journal, trace — with a blocked
+    step returned to the caller rather than slept through. Batch and
+    session runs share this one step path: the batch entry points above
+    are a driver over it that sleeps a blocked worker in place, while a
+    server multiplexing sessions ≫ workers *parks* a blocked session and
+    serves runnable ones. Both apply the same stall-valve rule
+    ({!exec_stall_restart}). The caller owns per-transaction
+    bookkeeping: attempt numbers, backoff state ({!Backoff.next_us}
+    gives a park delay), accumulated wait time, and the step sequence
+    number that addresses fault-plan draws. *)
 
 type exec
 (** A shared execution context: one engine plus the pool's concurrency
-    machinery, without the pool's own workers. Any thread or domain may
-    call into it; steps synchronize on the same stripes the batch
-    runner uses. *)
+    machinery. Any thread or domain may call into it; steps synchronize
+    on its stripes. *)
 
 (** One step's verdict, from the session's point of view. *)
 type session_step =
@@ -394,14 +400,16 @@ val exec_begin :
     engine executes. *)
 
 val exec_step :
-  ?level:Isolation.Level.t ->
+  level:Isolation.Level.t ->
   exec -> worker:int -> tid:int -> seq:int -> start_ns:int ->
   Core.Program.op -> session_step
 (** Execute one operation. [seq] is the per-transaction step-consultation
     counter (addresses the fault plan — increment it per call); [start_ns]
     is the attempt's start stamp (grounds the deadline check). [level]
-    feeds the per-level breakdown should the certifier doom the
-    transaction at this step. *)
+    (the declared level) feeds the per-level breakdown should the
+    certifier doom the transaction at this step. A [Commit] re-polls the
+    certifier under its own stripes, so a cycle closed by another commit
+    while this one waited for them still aborts it. *)
 
 val exec_env : exec -> tid:int -> Core.Program.env
 (** The transaction's observations so far — the read/scan results a
@@ -413,10 +421,14 @@ val exec_abort : ?reason:Core.Engine.abort_reason -> exec -> tid:int -> unit
 (** Abort from outside the program (e.g. the client disconnected);
     [reason] defaults to [User_abort]. No-op if already terminated. *)
 
-val exec_stall_restart : exec -> tid:int -> unit
-(** The starvation safety valve: abort a transaction that exhausted
-    [config.max_op_retries] blocked retries of one operation, counting
-    the stall and emitting its event; the client restarts it. *)
+val exec_stall_restart : exec -> tid:int -> waits:int -> bool
+(** The starvation safety valve, applied to a step that just came back
+    [Session_blocked] after [waits] blocked retries of the same
+    operation. While [waits < config.max_op_retries] it returns [false]
+    and the caller waits (or parks) and retries. Otherwise it aborts the
+    transaction, counts the stall, emits its event and returns [true];
+    the caller finishes the attempt and restarts it. An operation thus
+    waits out exactly [max_op_retries] blocks and restarts on the next. *)
 
 val exec_family : exec -> [ `Locking | `Mv | `Timestamp ]
 

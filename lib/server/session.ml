@@ -41,7 +41,7 @@ type pending = {
   preq : int;
   pop : Program.op;
   respond : unit -> Protocol.response;
-  mutable tries : int;
+  mutable waits : int;     (* blocked retries parked out so far *)
   mutable parked_at : int; (* ns stamp when the session parked *)
 }
 
@@ -50,7 +50,6 @@ type t = {
   gid : int;  (* global session index: the journal's job id *)
   conn : int;
   exec : Pool.exec;
-  max_op_retries : int;
   draining : bool Atomic.t;
   lookup_pred : Protocol.pred -> (Storage.Predicate.t, string) result;
   send : req:int -> Protocol.response -> unit;
@@ -67,14 +66,13 @@ type t = {
   mutable task : Scheduler.task option; (* backpatched after creation *)
 }
 
-let create ~sid ~gid ~conn ~exec ~max_op_retries ~draining ~lookup_pred ~send
-    ~emit ~on_close ~level ~seed =
+let create ~sid ~gid ~conn ~exec ~draining ~lookup_pred ~send ~emit
+    ~on_close ~level ~seed =
   {
     sid;
     gid;
     conn;
     exec;
-    max_op_retries;
     draining;
     lookup_pred;
     send;
@@ -178,16 +176,15 @@ let step_pending t ~worker (txn : txn) (p : pending) =
     t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
     `Done
   | Pool.Session_blocked { holders = _ } ->
-    p.tries <- p.tries + 1;
-    if p.tries >= t.max_op_retries then begin
-      (* Starvation safety valve, as in the batch pool: restart rather
-         than retry forever. The client sees an abort and retries. *)
-      Pool.exec_stall_restart t.exec ~tid:txn.tid;
+    if Pool.exec_stall_restart t.exec ~tid:txn.tid ~waits:p.waits then begin
+      (* Starvation safety valve: restart rather than retry forever.
+         The client sees an abort and retries. *)
       t.pending <- None;
       t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
       `Done
     end
     else begin
+      p.waits <- p.waits + 1;
       let delay_ns = int_of_float (Runtime.Backoff.next_us t.bo *. 1e3) in
       p.parked_at <- now_ns ();
       t.emit ~tid:txn.tid (Trace.Event.Session_park { session = t.gid });
@@ -287,7 +284,7 @@ let handle t ~worker ~req (request : Protocol.request) =
     `Done
   | op_req, Some txn ->
     let pend pop respond =
-      let p = { preq = req; pop; respond; tries = 0; parked_at = 0 } in
+      let p = { preq = req; pop; respond; waits = 0; parked_at = 0 } in
       t.pending <- Some p;
       step_pending t ~worker txn p
     in

@@ -43,4 +43,5 @@ let () =
       ("protocol", Test_protocol.suite);
       ("server", Test_server.suite);
       ("telemetry", Test_telemetry.suite);
+      ("step-path", Test_step_path.suite);
     ]

@@ -198,6 +198,32 @@ let test_prometheus_shape () =
   has "# TYPE lab_queue gauge\n";
   has "lab_queue 3.5\n"
 
+(* {2 Percentiles never exceed the maximum}
+
+   One commit at 1.1 ms lands in the [2^20, 2^21) ns bucket, whose
+   geometric midpoint is 1.57 ms. *)
+
+let test_percentiles_capped_at_max () =
+  let m = Metrics.create () in
+  Metrics.start m;
+  Metrics.record_commit m ~latency_ns:1_100_000;
+  Metrics.stop m;
+  let s = Metrics.snapshot m in
+  Alcotest.(check (float 1e-9)) "max is the recorded latency" 1.1
+    s.Metrics.lat_max_ms;
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %.3f <= max %.3f" name v s.Metrics.lat_max_ms)
+        true
+        (v <= s.Metrics.lat_max_ms))
+    [
+      ("p50", s.Metrics.lat_p50_ms);
+      ("p90", s.Metrics.lat_p90_ms);
+      ("p99", s.Metrics.lat_p99_ms);
+      ("exec p99", s.Metrics.exec_p99_ms);
+    ]
+
 let suite =
   [
     Alcotest.test_case "window delta matches the interval's recording" `Quick
@@ -208,4 +234,6 @@ let suite =
       test_of_json_roundtrip;
     Alcotest.test_case "prometheus exposition shape and escaping" `Quick
       test_prometheus_shape;
+    Alcotest.test_case "percentiles are capped at the recorded maximum" `Quick
+      test_percentiles_capped_at_max;
   ]
