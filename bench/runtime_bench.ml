@@ -83,6 +83,25 @@ let row_json { level; mix; m; o } =
 
 let json_path = "BENCH_runtime.json"
 
+(* Host provenance for the JSON: the first line a command prints, [None]
+   when it cannot run or fails (no git, not a checkout). The commit is
+   suffixed "-dirty" when the tree had uncommitted changes. *)
+let first_line prog args =
+  match Unix.open_process_args_in prog (Array.of_list (prog :: args)) with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+    match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> None)
+
+let host_json () =
+  Printf.sprintf "{\"nproc\":%s,\"ocaml\":\"%s\",\"commit\":\"%s\"}"
+    (match Option.bind (first_line "nproc" []) int_of_string_opt with
+    | Some n -> string_of_int n
+    | None -> "\"unknown\"")
+    Sys.ocaml_version
+    (Option.value ~default:"unknown"
+       (first_line "git" [ "describe"; "--always"; "--dirty"; "--abbrev=40" ]))
+
 (* {2 Worker-scaling sweep}
 
    The striped-vs-coarse comparison the striping work is accountable to:
@@ -548,11 +567,11 @@ let mixed () =
 
    The flat-memory accountability cells: certified SERIALIZABLE
    transfers at 10^4 / 10^5 / 10^6 transactions with [keep_history]
-   off — jobs generated lazily, the recorder spilling its journal
-   stripes to disk, the WAL checkpointing and truncating behind the
-   commit frontier (in-memory backend, as a default [stress] run uses,
-   so the rows measure the pipeline and not this host's fsync latency),
-   and the certifier era-pruning committed nodes — so the only verdict
+   off — jobs generated lazily, no engine trace and no attempt journal,
+   the WAL checkpointing and truncating behind the commit frontier
+   (in-memory backend, as a default [stress] run uses, so the rows
+   measure the pipeline and not this host's fsync latency), and the
+   certifier era-pruning committed nodes — so the only verdict
    machinery left resident is the live dependency frontier. Each cell
    compacts and resets the kernel's peak-RSS watermark first, so VmHWM
    prices that cell alone. The claim the JSON is accountable to: peak
@@ -613,7 +632,6 @@ let run_ooc_cell ?(group_commit = true) ?(disk = false)
   let wal_dir =
     if disk then Some (ooc_scratch ("wal_" ^ tag)) else None
   in
-  let spill_dir = ooc_scratch ("spill_" ^ tag) in
   let gen i =
     let p =
       Generators.stress_program Generators.Transfer ~seed
@@ -625,7 +643,7 @@ let run_ooc_cell ?(group_commit = true) ?(disk = false)
     Pool.config ~workers
       ~initial:(Generators.bank_accounts ooc_accounts)
       ~think_us:0. ~seed ~certify:true ?wal_dir ~wal_group_commit:group_commit
-      ~checkpoint_every:ooc_checkpoint_every ~keep_history:false ~spill_dir ()
+      ~checkpoint_every:ooc_checkpoint_every ~keep_history:false ()
   in
   Gc.compact ();
   Sysmem.reset_peak ();
@@ -633,7 +651,6 @@ let run_ooc_cell ?(group_commit = true) ?(disk = false)
   let mem = Sysmem.read () in
   let wal_stats = Option.map Wal.stats r.Pool.wal in
   Option.iter rm_rf wal_dir;
-  rm_rf spill_dir;
   {
     oc_txns = txns;
     oc_group_commit = group_commit;
@@ -667,7 +684,7 @@ let ooc_row_json r =
 
 let outofcore () =
   Printf.printf
-    "== out-of-core: certified SERIALIZABLE transfers, no history, spilled \
+    "== out-of-core: certified SERIALIZABLE transfers, no history, no \
      journal, checkpoint every %d, %d workers ==\n"
     ooc_checkpoint_every workers;
   Printf.printf "  %-9s %9s %9s %9s %12s %9s %8s %6s\n" "txns" "txn/s"
@@ -778,13 +795,14 @@ let runtime () =
   let ooc_rows, mv_ooc_rows, gc_rows = outofcore () in
   let json =
     Printf.sprintf
-      "{\"bench\":\"runtime\",\"rows\":[%s],\"scaling\":[%s],\
+      "{\"bench\":\"runtime\",\"host\":%s,\"rows\":[%s],\"scaling\":[%s],\
        \"speedup_8w\":%.2f,\"cores\":%d,\"scaling_reps\":%d,\
        \"certifier\":[%s],\"mixed\":[%s],\"chaos\":%s,\
        \"outofcore\":{\"checkpoint_every\":%d,\"oracle\":\"superseded by \
        online certifier (exact incremental replay); post-run oracle is \
        super-linear in history length and needs the full in-memory \
        trace\",\"rows\":[%s],\"mv_rows\":[%s],\"group_commit\":[%s]}}\n"
+      (host_json ())
       (String.concat "," (List.map row_json rows))
       (String.concat "," (List.map scaling_row_json scaling_rows))
       speedup

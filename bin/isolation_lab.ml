@@ -375,16 +375,10 @@ let drain_on_sigint () =
    out-of-core pipeline unless --history forces it back on. *)
 let out_of_core_threshold = 65_536
 
-(* A fresh scratch directory under the system temp dir, for spilled
-   journals of runs the user gave no --wal-dir. *)
-let scratch_dir label =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "isolation_lab_%s_%d" label (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  dir
+let family_name = function
+  | `Locking -> "locking"
+  | `Mv -> "multiversion"
+  | `Timestamp -> "timestamp"
 
 let wal_json_of (w : Storage.Wal.stats) =
   let hist =
@@ -437,33 +431,27 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
   in
   let stop = drain_on_sigint () in
-  (* Out-of-core decision: huge fixed-count runs drop the trace — the
-     engine logs to its (checkpoint-truncated) WAL, the recorder spills
-     its journal, and the online certifier carries the serializability
-     verdict the oracle would otherwise give. *)
+  (* Out-of-core decision: huge fixed-count runs drop the trace and the
+     attempt journal — the engine logs to its (checkpoint-truncated) WAL
+     and the online certifier carries the serializability verdict the
+     oracle would otherwise give. *)
   let keep_history =
     match history with
     | Some b -> b
     | None -> duration <> None || txns <= out_of_core_threshold
-  in
-  let spill_dir =
-    if keep_history then None else Some (scratch_dir "journal")
   in
   let cfg =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
       ~first_updater_wins:fuw ~stripes ~coarse ?oracle_window ~think_us:think
       ~seed ?trace:sink ~certify ~criterion ?family:lfam ?wal_dir
-      ~checkpoint_every ~keep_history ?spill_dir ~stop ()
+      ~checkpoint_every ~keep_history ~stop ()
   in
   if not keep_history then
-    Format.printf
-      "out-of-core: history off (%s); checkpoints every %d commits, \
-       journal spills to %s%s@."
+    Format.printf "out-of-core: history off (%s); checkpoints every %d commits%s@."
       (if history = Some false then "--history false"
        else Printf.sprintf "%d txns > %d" txns out_of_core_threshold)
       checkpoint_every
-      (Option.value ~default:"(memory)" spill_dir)
       (match wal_dir with
       | Some d -> Printf.sprintf ", wal segments in %s" d
       | None -> "");
@@ -479,8 +467,13 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some d -> Printf.sprintf "%.2fs deadline" d
     | None -> Printf.sprintf "%d transactions" txns)
     accounts hot think seed
-    (if coarse then "coarse latch"
-     else Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes);
+    (* Only the locking engine is striped; the pool runs the other
+       families under one latch, as {!Runtime.Pool} derives it. *)
+    (match Option.value lfam ~default:(L.family level) with
+    | `Locking when not coarse ->
+      Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes
+    | `Locking -> "coarse latch"
+    | fam -> Printf.sprintf "one latch (%s engine)" (family_name fam));
   (* --telemetry: a sampler thread scrapes the live runtime reading
      every second and appends Prometheus exposition blocks, one per
      scrape, so a run leaves a greppable time series behind. *)
@@ -863,7 +856,7 @@ let stress_cmd =
             "Keep the full engine trace and run the post-run oracle over \
              it. Defaults to true up to 65536 transactions (and for \
              --duration runs), false above — the out-of-core mode, where \
-             the attempt journal spills to disk and the online certifier \
+             no attempt journal is kept either and the online certifier \
              ($(b,--certify)) carries the serializability verdict.")
   in
   Cmd.v
@@ -1468,11 +1461,6 @@ let family_of_string = function
   | "timestamp" | "to" | "t/o" -> Some `Timestamp
   | _ -> None
 
-let family_name = function
-  | `Locking -> "locking"
-  | `Mv -> "multiversion"
-  | `Timestamp -> "timestamp"
-
 let serve workers family_str level criterion_str port host accounts stripes
     coarse certify certify_batch oracle_window wal_dir checkpoint_every history
     duration drain_grace seed disconnect_rate trace_path json_path
@@ -1514,18 +1502,15 @@ let serve workers family_str level criterion_str port host accounts stripes
   in
   let stop = drain_on_sigint () in
   let oracle_window = if oracle_window = 0 then None else Some oracle_window in
-  (* Long-lived servers can outgrow any in-memory history: --history \
-     false drops the trace and the post-run oracle (the online certifier \
-     still certifies when --certify) and spills the attempt journal. *)
+  (* Long-lived servers can outgrow any in-memory history: --history
+     false drops the trace, the attempt journal and the post-run oracle
+     (the online certifier still certifies when --certify). *)
   let keep_history = Option.value ~default:true history in
-  let spill_dir =
-    if keep_history then None else Some (scratch_dir "serve_journal")
-  in
   let pool =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
       ~stripes ~coarse ~certify ~certify_batch ~criterion ?oracle_window ~seed
-      ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ()
+      ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ()
   in
   let cfg =
     Server.Frontend.config ~host ~port ~default_level:level
@@ -1779,7 +1764,7 @@ let serve_cmd =
           ~doc:
             "Keep the full engine trace for the shutdown oracle (default \
              true). false is the out-of-core mode for long serving runs: \
-             no trace, journal spilled to disk, the online certifier \
+             no trace, no attempt journal, the online certifier \
              ($(b,--certify)) carries the serializability verdict.")
   in
   Cmd.v
@@ -1801,7 +1786,7 @@ let loadgen host port preset sessions conns txns mix_name levels_str accounts
   (* Presets override the shape knobs; everything else (mix, levels,
      seed, ...) still applies. "1m" is the out-of-core acceptance run:
      10^6 transactions against a server started with --history false and
-     a --wal-dir, where the WAL checkpoints, the journal spills and RSS
+     a --wal-dir, where the WAL checkpoints, no journal is kept and RSS
      stays flat — the progress line reports commits-vs-total and the
      generator's RSS each interval. *)
   let sessions, txns, progress =
@@ -1883,7 +1868,7 @@ let loadgen_cmd =
              sessions x 2000 txns, progress every 5s with an RSS \
              reading) — pair it with a server started out-of-core \
              ($(b,serve --history false --wal-dir ...)) to exercise the \
-             whole spilled pipeline. Overrides --sessions/--txns.")
+             whole out-of-core pipeline. Overrides --sessions/--txns.")
   in
   let sessions_arg =
     Arg.(

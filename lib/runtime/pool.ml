@@ -133,8 +133,7 @@ type config = {
   wal_segment_bytes : int option;(* segment rotation threshold *)
   wal_group_commit : bool;       (* batch commit fsyncs; false = one per commit *)
   checkpoint_every : int;        (* commits between WAL checkpoints; 0 = never *)
-  keep_history : bool;           (* false: out-of-core — drop the trace, skip the oracle *)
-  spill_dir : string option;     (* recorder journal spill directory *)
+  keep_history : bool;           (* false: out-of-core — no trace, no journal, no oracle *)
   stop : bool Atomic.t option;   (* drain flag: finish in-flight, take no new jobs *)
 }
 
@@ -158,7 +157,7 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     ?(criterion = Certifier.Serializability) ?(levels = [])
     ?(certify_batch = true) ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
     ?(wal_group_commit = true) ?(checkpoint_every = 0) ?(keep_history = true)
-    ?spill_dir ?stop () =
+    ?stop () =
   {
     workers = max 1 workers;
     initial;
@@ -191,7 +190,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     wal_group_commit;
     checkpoint_every = max 0 checkpoint_every;
     keep_history;
-    spill_dir;
     stop;
   }
 
@@ -238,7 +236,7 @@ type exec = {
   detector : Mutex.t;  (* one confirm-and-break pass at a time *)
   next_tid : int Atomic.t;
   metrics : Metrics.t;
-  recorder : Recorder.t;
+  recorder : Recorder.t option; (* the attempt journal; only with history *)
   sink : Trace.Sink.t option;
   (* Per-worker heartbeats for the watchdog: the stamp of the worker's
      last step entry (0 = not started, max_int = done), and the tid it is
@@ -470,7 +468,9 @@ let exec_create (cfg : config) ~family =
       detector = Mutex.create ();
       next_tid = Atomic.make 1;
       metrics = Metrics.create ~stripes:nstripes ();
-      recorder = Recorder.create ~stripes:cfg.workers ?spill_dir:cfg.spill_dir ();
+      recorder =
+        (if cfg.keep_history then Some (Recorder.create ~stripes:cfg.workers ())
+         else None);
       sink = cfg.trace;
       hb = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
       hb_tid = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
@@ -548,16 +548,15 @@ let exec_finalize sh =
     | None -> ([], 0)
     | Some s -> (Trace.Sink.events s, Trace.Sink.dropped s)
   in
+  let journal = Option.fold ~none:[] ~some:Recorder.entries sh.recorder in
   {
     history;
     final = Engine.final_state sh.engine;
     metrics = Metrics.snapshot sh.metrics;
-    (* Out-of-core runs ([keep_history = false]) recorded no engine trace,
-       so there is nothing for the oracle to check — the online certifier
-       is the verdict — and the journal, possibly spilled to disk, is not
-       materialized back into memory (stream it with
-       {!Recorder.iter_entries} instead). *)
-    journal = (if cfg.keep_history then Recorder.entries sh.recorder else []);
+    (* Out-of-core runs ([keep_history = false]) recorded no engine trace
+       and no journal, so there is nothing for the oracle to check — the
+       online certifier is the verdict. *)
+    journal;
     oracle =
       (if cfg.keep_history then
          Some
@@ -570,9 +569,7 @@ let exec_finalize sh =
          exactly that mapping. *)
       (if cfg.criterion = Certifier.Mixed && cfg.keep_history then
          let levels =
-           List.map
-             (fun (e : Recorder.entry) -> (e.tid, e.level))
-             (Recorder.entries sh.recorder)
+           List.map (fun (e : Recorder.entry) -> (e.tid, e.level)) journal
          in
          Some
            (Oracle.check_mixed ~phenomena:cfg.oracle_phenomena ~levels history)
@@ -821,8 +818,11 @@ let exec_finish sh ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
     | Engine.Active ->
       raise (Stuck (Fmt.str "T%d still active after its last operation" tid))
   in
-  Recorder.record sh.recorder ~job ~name ~level ~tid ~attempt ~worker
-    ~start_ns ~finish_ns outcome;
+  Option.iter
+    (fun r ->
+      Recorder.record r ~job ~name ~level ~tid ~attempt ~worker ~start_ns
+        ~finish_ns outcome)
+    sh.recorder;
   (* Everything the runtime will ever ask the engine about this tid has
      been asked (the status read above; env reads happen mid-program);
      release its slot so long runs don't retain every finished txn. The

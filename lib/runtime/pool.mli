@@ -197,13 +197,9 @@ type config = {
           post-run oracle over it. [false] is the out-of-core mode: the
           engine appends nothing to its in-memory trace (the WAL and the
           certifier feed still see every action), {!field:result.history}
-          comes back empty, {!field:result.oracle} is [None] and
-          {!field:result.journal} is not materialized — the online
-          certifier is the serializability verdict. *)
-  spill_dir : string option;
-      (** directory for the attempt recorder's journal spill files
-          (created if missing): stripes flush to disk past a threshold
-          and only live tails stay resident ({!Recorder.create}). *)
+          comes back empty, {!field:result.oracle} is [None] and no
+          attempt is journalled, so {!field:result.journal} is empty too
+          — the online certifier is the serializability verdict. *)
   stop : bool Atomic.t option;
       (** drain flag: when the atomic flips to [true], workers finish the
           job in hand (retries included), take no new jobs, and the run
@@ -244,7 +240,6 @@ val config :
   ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?keep_history:bool ->
-  ?spill_dir:string ->
   ?stop:bool Atomic.t ->
   unit ->
   config
@@ -281,7 +276,7 @@ type result = {
   metrics : Metrics.snapshot;
   journal : Recorder.entry list;
       (** the merged attempt journal; empty when [config.keep_history]
-          is [false] (out-of-core runs leave it spilled on disk) *)
+          is [false] (out-of-core runs journal nothing) *)
   oracle : Oracle.t option;
       (** the post-run oracle's verdict over {!field:history}; [None]
           when [config.keep_history] is [false] — no trace was kept, and
@@ -441,8 +436,9 @@ val exec_finish :
   level:Isolation.Level.t -> attempt:int -> start_ns:int -> wait_ns:int ->
   Recorder.outcome
 (** Terminal accounting once the transaction's program (or its abort) is
-    done: reads the engine status, records commit/abort metrics and the
-    journal entry, emits the Commit/Abort event, returns the outcome.
+    done: reads the engine status, records commit/abort metrics and
+    (when the run keeps its history) the journal entry, emits the
+    Commit/Abort event, returns the outcome.
     @raise Stuck if the transaction is somehow still active. *)
 
 val exec_note_wait : exec -> slept_ns:int -> unit

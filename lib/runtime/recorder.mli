@@ -1,20 +1,21 @@
-(** The runtime's trace recorder.
+(** The runtime's attempt recorder.
 
     The action-level record of a parallel run is the engine's own trace:
-    every step executes under the pool's execution latch, so the trace the
-    engine accumulates *is* a linearization of what actually happened, and
-    {!Pool.result.history} hands it to the oracle unchanged.
+    conflicting steps always run under a common stripe, so the trace the
+    engine accumulates orders every conflicting pair as it happened (a
+    conflict-faithful linearization), and {!Pool.result.history} hands it
+    to the oracle unchanged.
 
     What the engine cannot know is the attempt structure above it — which
     logical job each transaction id belonged to, how often it was
-    restarted, on which worker, and how long each attempt took. The
-    recorder journals exactly that, into per-worker striped buffers (one
-    mutex per worker, so appends never contend) with a global atomic
-    sequence number that gives the merged journal a total order. *)
+    restarted, on which worker, at which declared level, and how long
+    each attempt took. The recorder journals exactly that, into
+    per-worker striped buffers (one mutex per worker, so appends never
+    contend) with a global atomic sequence number that gives the merged
+    journal a total order. The pool keeps one only for runs that keep
+    their history; the journal lives in memory. *)
 
 type outcome = Committed | Aborted of Core.Engine.abort_reason
-
-val pp_outcome : outcome Fmt.t
 
 type entry = {
   seq : int;  (** global completion order *)
@@ -31,12 +32,7 @@ type entry = {
 
 type t
 
-val create :
-  ?stripes:int -> ?spill_dir:string -> ?spill_threshold:int -> unit -> t
-(** With [spill_dir] (created if missing), a stripe whose live buffer
-    reaches [spill_threshold] entries (default 4096, min 64) is appended
-    to a per-stripe file and emptied, bounding resident journal memory
-    for out-of-core runs; {!iter_entries} streams the merge back. *)
+val create : ?stripes:int -> unit -> t
 
 val record :
   t ->
@@ -53,14 +49,3 @@ val record :
 
 val entries : t -> entry list
 (** The merged journal in completion order. Call after workers joined. *)
-
-val iter_entries : t -> (entry -> unit) -> unit
-(** Stream the merged journal in completion order without materializing
-    it: a k-way merge over the per-stripe spill files and live tails,
-    holding one entry per stripe in memory. Call after workers joined. *)
-
-val spilled : t -> int
-(** Entries written to spill files so far (0 without [spill_dir]). *)
-
-val committed : t -> entry list
-(** Entries whose attempt committed. *)

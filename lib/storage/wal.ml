@@ -187,10 +187,14 @@ let get_u8 s pos =
   incr pos;
   v
 
+(* Every u32 field is an element count, and every element takes at least
+   one byte: a count that is negative (sign-extended) or larger than the
+   bytes left cannot be intact, so it decodes as a damaged record. *)
 let get_u32 s pos =
   if !pos + 4 > Bytes.length s then raise Truncated;
   let v = Int32.to_int (Bytes.get_int32_le s !pos) in
   pos := !pos + 4;
+  if v < 0 || v > Bytes.length s - !pos then raise Truncated;
   v
 
 let get_key s pos =
